@@ -14,12 +14,6 @@ from repro.experiments.config import (
     ScenarioConfig,
     make_sampler,
 )
-from repro.experiments.runner import (
-    ComparisonReport,
-    build_scenario,
-    run_comparison,
-    run_single,
-)
 
 __all__ = [
     "PRESETS",
@@ -31,3 +25,19 @@ __all__ = [
     "run_comparison",
     "run_single",
 ]
+
+#: Re-exported from :mod:`repro.experiments.runner`, resolved on first
+#: access (PEP 562).  An eager import here would load ``runner`` before
+#: ``python -m repro.experiments.runner`` executes it, and runpy warns
+#: about exactly that.
+_RUNNER_EXPORTS = frozenset(
+    {"ComparisonReport", "build_scenario", "run_comparison", "run_single"}
+)
+
+
+def __getattr__(name: str):
+    if name in _RUNNER_EXPORTS:
+        from repro.experiments import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

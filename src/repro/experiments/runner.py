@@ -8,8 +8,7 @@ Also usable as a CLI, organized into subcommands::
     PYTHONPATH=src python -m repro.experiments.runner resume checkpoint.json
     PYTHONPATH=src python -m repro.experiments.runner bench-smoke
 
-The pre-subcommand flat invocation (flags with no leading subcommand)
-still works as an alias of ``run`` but is deprecated and warns.
+A leading subcommand is required: bare flags are a usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -307,16 +305,6 @@ def run_comparison(
 
 # ---------------------------------------------------------------------------
 # CLI
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The flat single-run parser (the ``run`` subcommand's flag set)."""
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner",
-        description="Run one sampler on one scenario preset.",
-    )
-    _add_run_arguments(parser)
-    return parser
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -951,39 +939,37 @@ def _bench_smoke_command(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        command, rest = argv[0], argv[1:]
-        if command == "serve":
-            return _serve_command(_serve_parser().parse_args(rest))
-        if command == "bench-smoke":
-            return _bench_smoke_command(_bench_smoke_parser().parse_args(rest))
-        if command == "resume":
-            parser = argparse.ArgumentParser(
-                prog=f"{_PROG} resume",
-                description="Resume a single run from a saved checkpoint.",
-            )
-            parser.add_argument(
-                "checkpoint", help="checkpoint file written by a prior run"
-            )
-            _add_run_arguments(parser)
-            args = parser.parse_args(rest)
-            args.resume = args.checkpoint
-            return _run_command(args)
+    parser = argparse.ArgumentParser(
+        prog=_PROG, description="MACH hierarchical-FL experiments."
+    )
+    parser.add_argument(
+        "command", choices=SUBCOMMANDS,
+        help="subcommand (`<command> --help` lists its flags)",
+    )
+    # A missing or unknown subcommand (bare flags included) exits 2.
+    command, rest = parser.parse_args(argv[:1]).command, argv[1:]
+    if command == "serve":
+        return _serve_command(_serve_parser().parse_args(rest))
+    if command == "bench-smoke":
+        return _bench_smoke_command(_bench_smoke_parser().parse_args(rest))
+    if command == "resume":
         parser = argparse.ArgumentParser(
-            prog=f"{_PROG} run",
-            description="Run one sampler on one scenario preset.",
+            prog=f"{_PROG} resume",
+            description="Resume a single run from a saved checkpoint.",
+        )
+        parser.add_argument(
+            "checkpoint", help="checkpoint file written by a prior run"
         )
         _add_run_arguments(parser)
-        return _run_command(parser.parse_args(rest))
-    # Legacy flat invocation: flags with no leading subcommand.  Kept as
-    # an alias of `run` so existing scripts keep working, but deprecated.
-    warnings.warn(
-        "invoking repro.experiments.runner without a subcommand is "
-        "deprecated; use `python -m repro.experiments.runner run ...`",
-        FutureWarning,
-        stacklevel=2,
+        args = parser.parse_args(rest)
+        args.resume = args.checkpoint
+        return _run_command(args)
+    parser = argparse.ArgumentParser(
+        prog=f"{_PROG} run",
+        description="Run one sampler on one scenario preset.",
     )
-    return _run_command(build_parser().parse_args(argv))
+    _add_run_arguments(parser)
+    return _run_command(parser.parse_args(rest))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,14 +11,15 @@ Per time step ``t``:
    a step and devices within an edge, so both levels parallelize);
 3. devices feed their gradient experiences back to the sampler (line
    10) and the edge aggregates with inverse-probability weights (line
-   11) — the *finish* phase, again sequential in member order;
+   11) — the *finish* phase, sequential in member order and run for
+   each edge round as soon as it and every earlier round are back;
 4. every ``T_g`` steps the cloud aggregates edge models into the global
    model and broadcasts it back (lines 12–13), and the sampler is
    notified (MACH refreshes its UCB estimates on this clock).
 
 Step-synchronous semantics: all strategies of step ``t`` are computed
 from the sampler state at the *beginning* of the step, and participation
-feedback is applied at the end of the step in (edge, member) order.
+feedback is applied after planning in (edge, member) order.
 Edges in a real deployment act concurrently and cannot observe each
 other's same-step feedback, so this is both the faithful reading of
 Algorithm 1 and what makes edge-level parallelism deterministic: for a
@@ -53,7 +54,8 @@ streams — bit-identical histories, on every executor backend.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from collections import defaultdict
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
@@ -325,12 +327,6 @@ class HFLTrainer:
         self.executor.bind(
             WorkerContext(self.model, self.devices, config.seed)
         )
-        #: Incremental round pipeline (the coordinator service sets this):
-        #: edge rounds are admitted as they complete via
-        #: :meth:`Executor.submit_step` instead of the run_step barrier.
-        #: Finishing stays in plan order, so a drained queue is
-        #: bit-identical to the synchronous barrier path.
-        self.incremental = False
 
         # Observability sinks.  Imported lazily: repro.obs sits above
         # repro.hfl in the dependency order (its bridge subclasses the
@@ -346,6 +342,11 @@ class HFLTrainer:
         self._resources = getattr(obs, "resources", None) if obs is not None else None
         self._health = getattr(obs, "health", None) if obs is not None else None
         self._last_health_verdict: Optional[str] = None
+        #: The phase clock (see :meth:`_phase`): open phases as
+        #: ``[name, segment start]`` frames, and this step's exclusive
+        #: seconds per phase.
+        self._phase_stack: List[list] = []
+        self._step_phases: Dict[str, float] = defaultdict(float)
         if self._tracer.enabled:
             # Span tracing needs per-device spans: full item-granular
             # timings (this switches the executors off their fused
@@ -748,109 +749,74 @@ class HFLTrainer:
     def _train_step(self, t: int) -> int:
         """One full time step; returns the total participant count.
 
-        Phase wall-times (plan / execute / finish) land in the attached
-        telemetry recorder; the clock reads cost nanoseconds, so they
-        are taken unconditionally to keep one code path.  The span
-        tracer (a no-op unless observability is on) mirrors the phases
-        and hangs the worker-attributed edge-round / device-update
-        hierarchy under the execute span.
+        Edge rounds stream back from :meth:`Executor.submit_step` in
+        completion order and each is finished the moment every
+        lower-indexed round has been — the finish phase of early rounds
+        overlaps the execute phase of late ones, while sampler feedback
+        and edge aggregation keep the fixed (edge, member) order, so
+        every executor backend reproduces the serial run bit for bit.
         """
-        clock = time.perf_counter
-        tracer = self._tracer
-        profiler = self._profiler
-        t0 = clock()
-        with tracer.span("plan"), self._profile_phase("plan"):
+        with self._phase("plan"):
             if self.churn is not None:
                 # Population turnover lands before planning: this step's
                 # strategies see the post-churn member sets.
                 self._apply_churn(t)
             pending = [self._plan_round(t, edge) for edge in self.edges]
             active = [p for p in pending if p is not None]
-        t1 = clock()
-        if self.incremental:
-            # Incremental round pipeline: edge rounds stream back in
-            # completion order and each is finished the moment every
-            # lower-indexed round has finished — the finish phase of
-            # early rounds overlaps the execute phase of late ones, but
-            # the (edge, member) feedback order is exactly the barrier
-            # path's, so the result is bit-identical.
-            with tracer.span("execute"), self._profile_phase("execute"):
-                total, finish_seconds = self._run_step_incremental(t, active)
-                if tracer.enabled or profiler is not None:
-                    self._trace_worker_timings()
-            t2 = clock()
-            with tracer.span("finish"), self._profile_phase("finish"):
-                if self._max_staleness > 0:
-                    self._admit_stale(t)
-            t3 = clock()
-            execute_seconds = (t2 - t1) - finish_seconds
-            finish_total = finish_seconds + (t3 - t2)
-        else:
-            with tracer.span("execute"), self._profile_phase("execute"):
-                step_results = self.executor.run_step([p.plan for p in active])
-                if tracer.enabled or profiler is not None:
-                    self._trace_worker_timings()
-            t2 = clock()
-            with tracer.span("finish"), self._profile_phase("finish"):
-                total = sum(
-                    self._finish_round(t, p, results)
-                    for p, results in zip(active, step_results)
-                )
-                if self._max_staleness > 0:
-                    # Late uploads whose deadline extension expires this
-                    # step join the post-round edge models.
-                    self._admit_stale(t)
-            t3 = clock()
-            execute_seconds = t2 - t1
-            finish_total = t3 - t2
-        if self.telemetry is not None:
-            self.telemetry.record_phase("plan", t1 - t0)
-            self.telemetry.record_phase("execute", execute_seconds)
-            self.telemetry.record_phase("finish", finish_total)
-        if profiler is not None:
-            profiler.record_phase("plan", t1 - t0)
-            profiler.record_phase("execute", execute_seconds)
-            profiler.record_phase("finish", finish_total)
-        return total
-
-    def _run_step_incremental(
-        self, t: int, active: List[_PendingRound]
-    ) -> "tuple[int, float]":
-        """Admit streamed edge rounds, finishing strictly in plan order.
-
-        Out-of-order completions are buffered until their prefix is
-        finished — the admission discipline that keeps a drained queue
-        bit-identical to the barrier path (sampler feedback and edge
-        aggregation happen in exactly the barrier's (edge, member)
-        order).  Returns the participant count and the wall-clock spent
-        in finish work, so the caller can split phase attribution.
-        """
-        clock = time.perf_counter
-        total = 0
-        finish_seconds = 0.0
+        total = next_index = 0
         buffered: Dict[int, Dict[int, LocalUpdateResult]] = {}
-        next_index = 0
-        for index, results in self.executor.submit_step(
-            [p.plan for p in active]
-        ):
-            buffered[index] = results
-            while next_index in buffered:
-                f0 = clock()
-                total += self._finish_round(
-                    t, active[next_index], buffered.pop(next_index)
-                )
-                finish_seconds += clock() - f0
-                next_index += 1
+        with self._phase("execute"):
+            for index, results in self.executor.submit_step(
+                [p.plan for p in active]
+            ):
+                buffered[index] = results
+                while next_index in buffered:
+                    with self._phase("finish"):
+                        total += self._finish_round(
+                            t, active[next_index], buffered.pop(next_index)
+                        )
+                    next_index += 1
+            self._trace_worker_timings()
         if next_index != len(active):  # pragma: no cover - executor contract
             raise RuntimeError(
                 f"executor streamed {next_index} of {len(active)} rounds"
             )
-        return total, finish_seconds
+        with self._phase("finish"):
+            if self._max_staleness > 0:
+                # Late uploads whose deadline extension expires this
+                # step join the post-round edge models.
+                self._admit_stale(t)
+        return total
 
-    def _profile_phase(self, name: str):
-        """Phase-tagging scope for the profiler (no-op when off)."""
+    @contextmanager
+    def _phase(self, name: str, **attrs) -> Iterator[None]:
+        """Time one engine phase: a tracer span, a profiler phase scope
+        and the phase's *exclusive* wall time.
+
+        A phase opened inside another pauses the outer one's clock, so
+        finish work nested inside execute is billed to ``finish`` only.
+        Seconds accumulate per step; :meth:`_observe_step` reports each
+        phase once to telemetry and profiler.
+        """
+        clock = time.perf_counter
+        stack = self._phase_stack
+        frame = [name, clock()]
+        if stack:
+            self._step_phases[stack[-1][0]] += frame[1] - stack[-1][1]
+        stack.append(frame)
         profiler = self._profiler
-        return profiler.phase_scope(name) if profiler is not None else nullcontext()
+        try:
+            with self._tracer.span(name, **attrs), (
+                profiler.phase_scope(name) if profiler is not None
+                else nullcontext()
+            ):
+                yield
+        finally:
+            now = clock()
+            stack.pop()
+            self._step_phases[name] += now - frame[1]
+            if stack:
+                stack[-1][1] = now
 
     def _trace_worker_timings(self) -> None:
         """Synthesize edge-round → device-update spans from the executor's
@@ -858,7 +824,7 @@ class HFLTrainer:
         item, durations from the worker's own monotonic clock).  The same
         drained rows feed the profiler's per-(step, edge) attribution."""
         timings = self.executor.drain_worker_timings()
-        if not timings:
+        if not timings:  # worker timings are off unless obs asked for them
             return
         if self._profiler is not None:
             self._profiler.observe_worker_timings(timings)
@@ -1136,9 +1102,16 @@ class HFLTrainer:
         return checkpoint.step
 
     def _observe_step(self, t: int, steps_run: int, seconds: float) -> None:
-        """Per-step observation hooks, all pure observers: profiler step
-        record, step-latency gauge, memory sample and health evaluation
-        (with a ``health`` event on every overall-verdict transition)."""
+        """Per-step observation hooks, all pure observers: phase seconds,
+        profiler step record, step-latency gauge, memory sample and
+        health evaluation (with a ``health`` event on every
+        overall-verdict transition)."""
+        for name, phase_seconds in self._step_phases.items():
+            if self.telemetry is not None:
+                self.telemetry.record_phase(name, phase_seconds)
+            if self._profiler is not None:
+                self._profiler.record_phase(name, phase_seconds)
+        self._step_phases.clear()
         if self._profiler is not None:
             self._profiler.end_step(t, seconds)
         if self._metrics is not None:
@@ -1156,13 +1129,8 @@ class HFLTrainer:
         every = self.config.checkpoint_every
         if every is None or steps_completed % every != 0:
             return
-        ckpt_t0 = time.perf_counter()
-        with self._tracer.span("checkpoint", step=steps_completed):
+        with self._phase("checkpoint", step=steps_completed):
             self.make_checkpoint(steps_completed).save(self.config.checkpoint_path)
-        if self._profiler is not None:
-            self._profiler.record_phase(
-                "checkpoint", time.perf_counter() - ckpt_t0
-            )
         if self._events is not None:
             self._events.emit(
                 "checkpoint",
@@ -1317,18 +1285,12 @@ class HFLTrainer:
 
                 if t % self.config.sync_interval == 0:
                     synced = True
-                    t0 = clock()
-                    with tracer.span(
+                    with self._phase(
                         "sync",
                         topology=self.topology.name,
                         aggregation=self.aggregation_strategy.name,
-                    ), self._profile_phase("sync"):
+                    ):
                         self._sync_to_cloud(t)
-                    sync_seconds = clock() - t0
-                    if self.telemetry is not None:
-                        self.telemetry.record_phase("sync", sync_seconds)
-                    if self._profiler is not None:
-                        self._profiler.record_phase("sync", sync_seconds)
 
                 steps_run = t + 1
                 self._steps_run = steps_run
@@ -1340,18 +1302,12 @@ class HFLTrainer:
                     else steps_run % eval_interval == 0
                 )
                 if eval_due or steps_run == num_steps:
-                    t0 = clock()
-                    with tracer.span("eval"), self._profile_phase("eval"):
+                    with self._phase("eval"):
                         self.model.load_flat(self._virtual_global(t))
                         # One fused pass over the test set yields both
                         # metrics (bit-identical to the separate
                         # accuracy/loss passes).
                         accuracy, loss = evaluate(self.model, self.test_dataset)
-                    eval_seconds = clock() - t0
-                    if self.telemetry is not None:
-                        self.telemetry.record_phase("eval", eval_seconds)
-                    if self._profiler is not None:
-                        self._profiler.record_phase("eval", eval_seconds)
                     history.record(steps_run, accuracy, loss)
                     step_accuracy, step_loss = accuracy, loss
                     if adaptive_eval:

@@ -4,8 +4,8 @@ Algorithm 1 is embarrassingly parallel at two levels — edges are
 independent within a time step, and sampled devices within an edge run
 their I local SGD steps independently.  An :class:`Executor` receives,
 once per time step, every edge's :class:`~repro.runtime.work_items
-.EdgeRoundPlan` and returns the per-round local-update results; the
-backend decides how the items are scheduled:
+.EdgeRoundPlan` and streams the per-round local-update results back as
+each round completes; the backend decides how the items are scheduled:
 
 - :class:`~repro.runtime.serial.SerialExecutor` — in-process loop, the
   default and the reference semantics;
@@ -23,33 +23,18 @@ because every work item derives its own named random stream from
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from concurrent.futures import Future, as_completed
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.runtime.work_items import EdgeRoundPlan, RoundResults, WorkerContext
+from repro.runtime.work_items import (
+    EdgeRoundPlan,
+    RoundResults,
+    WorkerContext,
+    WorkerTiming,
+)
 
 #: Backend names accepted by :func:`make_executor` and ``HFLConfig.executor``.
 EXECUTOR_KINDS = ("serial", "thread", "process")
-
-
-class WorkerTiming(NamedTuple):
-    """Wall-clock attribution of one executed unit of local-update work.
-
-    Collected only when the caller opts in via
-    :meth:`Executor.enable_worker_timings`; ``worker`` names the thread
-    / process (or ``"main"`` for the serial backend) that ran the unit,
-    and ``seconds`` is the unit's own monotonic-clock duration measured
-    where it ran.  At ``"item"`` granularity a record covers one device's
-    local-update loop; at ``"round"`` granularity it covers one edge
-    round (or one worker's chunk of it) and ``device`` is ``-1``.
-    Timings are observability, not results: they never cross into
-    aggregation, RNG streams or checkpoints.
-    """
-
-    step: int
-    edge: int
-    device: int
-    worker: str
-    seconds: float
 
 
 class WorkerError(RuntimeError):
@@ -75,7 +60,8 @@ class Executor(ABC):
     """Runs the local-update work of HFL time steps.
 
     Life cycle: :meth:`bind` once with the trainer's
-    :class:`WorkerContext`, then :meth:`run_step` once per time step,
+    :class:`WorkerContext`, then :meth:`submit_step` (or its barrier
+    form :meth:`run_step`) once per time step,
     then :meth:`close` (or use the executor as a context manager).
     Binding again replaces the context (worker pools are recycled).
     """
@@ -106,43 +92,63 @@ class Executor(ABC):
         return self._context
 
     @abstractmethod
-    def run_step(self, plans: Sequence[EdgeRoundPlan]) -> List[RoundResults]:
-        """Execute every plan's items; results align with ``plans``.
-
-        Each returned dict maps device id → :class:`LocalUpdateResult`
-        for exactly the devices of the corresponding plan.  The call is
-        a barrier: all items complete before it returns.
-
-        Ownership: a backend may reuse the returned *list* as a per-step
-        buffer (the serial backend does); the per-round dicts and result
-        objects inside are fresh every step.  Callers that retain the
-        list across steps must copy it.
-        """
-
     def submit_step(
         self, plans: Sequence[EdgeRoundPlan]
-    ) -> "Iterator[Tuple[int, RoundResults]]":
+    ) -> Iterator[Tuple[int, RoundResults]]:
         """Yield ``(plan_index, results)`` per round as results complete.
 
-        The streaming twin of :meth:`run_step`: instead of a barrier it
-        hands each edge round back as soon as its items are done, so the
-        caller (the service's incremental round pipeline) can start the
-        finish phase of early rounds while later rounds still compute.
-        Every plan is yielded exactly once; completion *order* is
-        backend-dependent, which is why bit-identity is the caller's
-        job — the trainer buffers out-of-order rounds and finishes in
-        plan order, making a drained queue indistinguishable from the
-        barrier path.
-
-        The default implementation degrades gracefully: it runs the
-        barrier :meth:`run_step` and yields the rounds in plan order
-        (which is also their completion order on the serial backend).
-        Pooled backends may override with true as-completed streaming
-        (the thread backend does).
+        The one execute path of every backend.  Each yielded dict maps
+        device id → :class:`LocalUpdateResult` for exactly the devices
+        of ``plans[plan_index]``; every plan — empty rounds included —
+        is yielded exactly once, so the caller can finish early rounds
+        while later ones still compute.  Completion *order* is
+        backend-dependent (plan order on the serial backend), which is
+        why bit-identity is the caller's job: the trainer buffers
+        out-of-order rounds and finishes them in plan order.
         """
-        results = self.run_step(plans)
-        for index in range(len(plans)):
-            yield index, results[index]
+
+    def run_step(self, plans: Sequence[EdgeRoundPlan]) -> List[RoundResults]:
+        """Barrier form of :meth:`submit_step`: results aligned with ``plans``."""
+        results: List[RoundResults] = [{} for _ in plans]
+        for index, round_results in self.submit_step(plans):
+            results[index] = round_results
+        return results
+
+    def _stream(
+        self, plans: Sequence[EdgeRoundPlan], futures: Dict[Future, int]
+    ) -> Iterator[Tuple[int, RoundResults]]:
+        """Yield each round once all of its pooled futures have landed.
+
+        ``futures`` maps every submitted :meth:`WorkerContext.run_timed`
+        unit to its plan index; a plan may own several units (item or
+        chunk sub-plans) or none (an empty round, complete by definition
+        and yielded first).
+        """
+        results: List[RoundResults] = [{} for _ in plans]
+        remaining = [0] * len(plans)
+        for index in futures.values():
+            remaining[index] += 1
+        for index, count in enumerate(remaining):
+            if count == 0:
+                yield index, results[index]
+        for future in as_completed(futures):
+            index = futures[future]
+            try:
+                unit_results, timings = future.result()
+            except Exception as exc:
+                self._on_worker_error(plans[index], exc, futures)
+                raise
+            results[index].update(unit_results)
+            self._timings.extend(timings)
+            remaining[index] -= 1
+            if remaining[index] == 0:
+                yield index, results[index]
+
+    def _on_worker_error(
+        self, plan: EdgeRoundPlan, exc: Exception, futures: Dict[Future, int]
+    ) -> None:
+        """Backend hook for a failed unit of ``plan``; the default lets
+        the worker's exception propagate unchanged."""
 
     # -- worker-timing attribution (observability opt-in) --------------------
 
@@ -152,7 +158,7 @@ class Executor(ABC):
         Off by default: the reference path pays nothing.  When enabled,
         each backend measures work where it executes and the caller
         drains the records with :meth:`drain_worker_timings` after each
-        :meth:`run_step`.
+        step.
 
         ``granularity="item"`` times every device's local update
         individually — full attribution, but it forces the backends off
@@ -180,6 +186,10 @@ class Executor(ABC):
     @property
     def timing_granularity(self) -> str:
         return self._timing_granularity
+
+    def _timing_mode(self) -> Optional[str]:
+        """The :meth:`WorkerContext.run_timed` granularity (``None`` = off)."""
+        return self._timing_granularity if self._collect_timings else None
 
     def drain_worker_timings(self) -> List[WorkerTiming]:
         """Return and clear the timings accumulated since the last drain."""

@@ -27,24 +27,19 @@ update it runs.
 from __future__ import annotations
 
 import multiprocessing
-import time
 from concurrent.futures import Future, ProcessPoolExecutor as _ProcessPool
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.hfl.device import LocalUpdateResult
-from repro.runtime.base import (
-    Executor,
-    WorkerError,
-    WorkerTiming,
-    resolve_num_workers,
-)
+from repro.runtime.base import Executor, WorkerError, resolve_num_workers
 from repro.runtime.work_items import (
     EdgeRoundPlan,
     LocalUpdateItem,
     RoundResults,
     WorkerContext,
+    WorkerTiming,
 )
 
 #: Per-process context installed by the pool initializer.
@@ -57,40 +52,15 @@ def _init_worker(context: WorkerContext) -> None:
 
 
 def _run_chunk(
-    start_model: np.ndarray,
-    items: Tuple[LocalUpdateItem, ...],
-    timed: Optional[str] = None,
-) -> Tuple[List[Tuple[int, LocalUpdateResult]], List[Tuple[int, str, float]]]:
-    """Worker-side entry: run a chunk of one round's items serially.
-
-    ``timed`` is ``None`` (off), ``"item"`` or ``"round"``.  Returns the
-    ``(device_id, result)`` pairs plus, when timed, the
-    ``(device_id, worker_name, seconds)`` attributions measured on the
-    worker's own monotonic clock — one record per item at ``"item"``
-    granularity, a single ``device_id=-1`` record covering the whole
-    chunk (still population-batched) at ``"round"`` granularity.  The
-    untimed path ships no extra bytes.
-    """
+    chunk: EdgeRoundPlan, granularity: Optional[str]
+) -> Tuple[RoundResults, List[WorkerTiming]]:
+    """Worker-side entry: run one chunk of a round (population-batched
+    when homogeneous), timed on the worker's own clock when asked."""
     if _WORKER_CONTEXT is None:  # pragma: no cover - defensive
         raise RuntimeError("worker pool was not initialized with a context")
-    if timed is None:
-        # Population-batched when the chunk is homogeneous (run_items
-        # falls back to the per-item loop otherwise) — each chunk is one
-        # stacked forward/backward instead of len(chunk) passes.
-        return _WORKER_CONTEXT.run_items(start_model, items), []
-    worker = multiprocessing.current_process().name
-    clock = time.perf_counter
-    if timed == "round":
-        start = clock()
-        pairs = _WORKER_CONTEXT.run_items(start_model, items)
-        return pairs, [(-1, worker, clock() - start)]
-    pairs = []
-    timings: List[Tuple[int, str, float]] = []
-    for item in items:
-        start = clock()
-        pairs.append((item.device_id, _WORKER_CONTEXT.run_item(start_model, item)))
-        timings.append((item.device_id, worker, clock() - start))
-    return pairs, timings
+    return _WORKER_CONTEXT.run_timed(
+        chunk, granularity, multiprocessing.current_process().name
+    )
 
 
 def _chunk(
@@ -136,44 +106,33 @@ class ProcessExecutor(Executor):
             )
         return self._pool
 
-    def run_step(self, plans: Sequence[EdgeRoundPlan]) -> List[RoundResults]:
+    def submit_step(
+        self, plans: Sequence[EdgeRoundPlan]
+    ) -> Iterator[Tuple[int, RoundResults]]:
+        """Yield each round once all of its chunks have landed."""
         self.context  # fail fast before touching the pool
-        pool = self._ensure_pool()
-        timed = self._timing_granularity if self._collect_timings else None
-        pending: List[Tuple[int, Future]] = []
+        submit = self._ensure_pool().submit
+        granularity = self._timing_mode()
+        futures = {}
         for index, plan in enumerate(plans):
+            if not plan.items:
+                continue
             for chunk in _chunk(plan.items, self.num_workers):
-                if not chunk:
-                    continue
-                pending.append(
-                    (
-                        index,
-                        pool.submit(_run_chunk, plan.start_model, chunk, timed),
-                    )
-                )
-        results: List[RoundResults] = [{} for _ in plans]
-        for index, future in pending:
-            try:
-                chunk_results, chunk_timings = future.result()
-            except Exception as exc:
-                # A worker raised (or the pool broke, orphaning every
-                # future).  Cancel what has not started, tear the pool
-                # down and recycle it so the *next* step gets a fresh
-                # pool instead of hanging on dead processes.
-                for _index, other in pending:
-                    other.cancel()
-                self._shutdown_pool()
-                plan = plans[index]
-                raise WorkerError(plan.step, plan.edge, exc) from exc
-            for device_id, result in chunk_results:
-                results[index][device_id] = result
-            if chunk_timings:
-                plan = plans[index]
-                self._timings.extend(
-                    WorkerTiming(plan.step, plan.edge, device_id, worker, seconds)
-                    for device_id, worker, seconds in chunk_timings
-                )
-        return results
+                unit = replace(plan, items=chunk)
+                futures[submit(_run_chunk, unit, granularity)] = index
+        yield from self._stream(plans, futures)
+
+    def _on_worker_error(
+        self, plan: EdgeRoundPlan, exc: Exception, futures: Dict[Future, int]
+    ) -> None:
+        # A worker raised (or the pool broke, orphaning every future).
+        # Cancel what has not started, tear the pool down and recycle it
+        # so the *next* step gets a fresh pool instead of hanging on dead
+        # processes.
+        for future in futures:
+            future.cancel()
+        self._shutdown_pool()
+        raise WorkerError(plan.step, plan.edge, exc) from exc
 
     def _shutdown_pool(self) -> None:
         if self._pool is not None:

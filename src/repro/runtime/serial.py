@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import time
-from typing import List, Sequence
+from typing import Iterator, Sequence, Tuple
 
-from repro.runtime.base import Executor, WorkerTiming
-from repro.runtime.work_items import EdgeRoundPlan, RoundResults, WorkerContext
+from repro.runtime.base import Executor
+from repro.runtime.work_items import EdgeRoundPlan, RoundResults
 
 
 class SerialExecutor(Executor):
@@ -19,60 +18,18 @@ class SerialExecutor(Executor):
     pre-runtime engine did.  The parallel backends are defined to be
     bit-identical to this one for the same master seed.
 
-    The returned results list is a reusable buffer owned by the
-    executor: it is cleared and refilled on every :meth:`run_step`, so
-    callers that retain results across steps must copy the list (the
-    per-round dicts and their :class:`~repro.hfl.device
-    .LocalUpdateResult` values are fresh each step and safe to keep).
+    Rounds are computed lazily: each is yielded as soon as it is done,
+    so the caller finishes round ``i`` before round ``i + 1`` runs.
     """
 
     name = "serial"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._results: List[RoundResults] = []
-
-    def run_step(self, plans: Sequence[EdgeRoundPlan]) -> List[RoundResults]:
+    def submit_step(
+        self, plans: Sequence[EdgeRoundPlan]
+    ) -> Iterator[Tuple[int, RoundResults]]:
         context = self.context
-        results = self._results
-        results.clear()
-        if self._collect_timings:
-            if self._timing_granularity == "round":
-                # One clock pair per round on top of the fused fast
-                # path — the profiler's near-zero-overhead mode.
-                clock = time.perf_counter
-                for plan in plans:
-                    start = clock()
-                    results.append(context.run_round(plan))
-                    self._timings.append(
-                        WorkerTiming(
-                            plan.step, plan.edge, -1, "main",
-                            clock() - start,
-                        )
-                    )
-                return results
-            for plan in plans:
-                results.append(self._run_round_timed(context, plan))
-            return results
-        for plan in plans:
-            results.append(context.run_round(plan))
-        return results
-
-    def _run_round_timed(
-        self, context: WorkerContext, plan: EdgeRoundPlan
-    ) -> RoundResults:
-        """Per-item timed variant of ``context.run_round`` (obs opt-in)."""
-        clock = time.perf_counter
-        round_results: RoundResults = {}
-        for item in plan.items:
-            start = clock()
-            round_results[item.device_id] = context.run_item(
-                plan.start_model, item
-            )
-            self._timings.append(
-                WorkerTiming(
-                    item.step, item.edge, item.device_id, "main",
-                    clock() - start,
-                )
-            )
-        return round_results
+        granularity = self._timing_mode()
+        for index, plan in enumerate(plans):
+            results, timings = context.run_timed(plan, granularity)
+            self._timings.extend(timings)
+            yield index, results

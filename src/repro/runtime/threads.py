@@ -3,24 +3,17 @@
 from __future__ import annotations
 
 import threading
-import time
-from concurrent.futures import (
-    Future,
-    ThreadPoolExecutor as _ThreadPool,
-    as_completed,
-)
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from concurrent.futures import ThreadPoolExecutor as _ThreadPool
+from dataclasses import replace
+from typing import Iterator, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.hfl.device import LocalUpdateResult
 from repro.hotpath import hotpath_enabled
 from repro.nn.population import (
     population_batching_enabled,
     supports_population_batch,
 )
-from repro.runtime.base import Executor, WorkerTiming, resolve_num_workers
-from repro.runtime.work_items import EdgeRoundPlan, LocalUpdateItem, RoundResults
+from repro.runtime.base import Executor, resolve_num_workers
+from repro.runtime.work_items import EdgeRoundPlan, RoundResults
 
 
 class ThreadExecutor(Executor):
@@ -46,10 +39,6 @@ class ThreadExecutor(Executor):
         self.num_workers = resolve_num_workers(num_workers)
         self._pool: Optional[_ThreadPool] = None
         self._thread_local = threading.local()
-        # Reusable per-step submission buffer; cleared every run_step so
-        # the hot loop stops reallocating one list of (index, device,
-        # future) triples per time step.
-        self._pending: List[Tuple[int, int, Future]] = []
 
     def _on_bind(self) -> None:
         # Thread-local clones were built from the previous context.
@@ -70,124 +59,41 @@ class ThreadExecutor(Executor):
             self._thread_local.context = context
         return context
 
-    def _run_round(self, plan: EdgeRoundPlan) -> RoundResults:
-        """Round-granular work unit for the population-batched engine."""
-        context = self._local_context()
-        if not self._collect_timings:
-            return context.run_round(plan)
-        start = time.perf_counter()
-        result = context.run_round(plan)
-        self._timings.append(
-            WorkerTiming(
-                plan.step, plan.edge, -1,
-                threading.current_thread().name,
-                time.perf_counter() - start,
-            )
+    def _run_unit(self, plan: EdgeRoundPlan, granularity: Optional[str]):
+        return self._local_context().run_timed(
+            plan, granularity, threading.current_thread().name
         )
-        return result
-
-    def _run_item(
-        self, start_model: np.ndarray, item: LocalUpdateItem
-    ) -> LocalUpdateResult:
-        context = self._local_context()
-        if not self._collect_timings:
-            return context.run_item(start_model, item)
-        start = time.perf_counter()
-        result = context.run_item(start_model, item)
-        # list.append is atomic under the GIL — no lock needed for the
-        # shared timing buffer.
-        self._timings.append(
-            WorkerTiming(
-                item.step,
-                item.edge,
-                item.device_id,
-                threading.current_thread().name,
-                time.perf_counter() - start,
-            )
-        )
-        return result
-
-    def run_step(self, plans: Sequence[EdgeRoundPlan]) -> List[RoundResults]:
-        self.context  # fail fast before touching the pool
-        pool = self._ensure_pool()
-        submit = pool.submit
-        if (
-            (not self._collect_timings or self._timing_granularity == "round")
-            and hotpath_enabled()
-            and population_batching_enabled()
-            and supports_population_batch(self.context.model)
-        ):
-            # Population-batched engine: one stacked pass per edge round
-            # beats item-granular futures (the big matmuls release the
-            # GIL, and rounds still fan out across edges).  Per-item
-            # timing attribution keeps the item-granular path below.
-            futures = [submit(self._run_round, plan) for plan in plans]
-            return [future.result() for future in futures]
-        run_item = self._run_item
-        pending = self._pending
-        pending.clear()
-        for index, plan in enumerate(plans):
-            start_model = plan.start_model
-            for item in plan.items:
-                pending.append(
-                    (index, item.device_id, submit(run_item, start_model, item))
-                )
-        results: List[RoundResults] = [{} for _ in plans]
-        for index, device_id, future in pending:
-            results[index][device_id] = future.result()
-        pending.clear()  # drop future references promptly
-        return results
 
     def submit_step(
         self, plans: Sequence[EdgeRoundPlan]
     ) -> Iterator[Tuple[int, RoundResults]]:
-        """Yield edge rounds in true completion order.
+        """Yield edge rounds in true completion order (:func:`as_completed`).
 
-        Streams results back so the incremental round pipeline can
-        finish an early-arriving round while the pool still computes the
-        rest.  Both engine branches are covered: on the
-        population-batched path each round is one future and rounds
-        stream out via :func:`as_completed`; on the item-granular path
-        per-device futures stream out and a round is yielded the moment
-        its last item lands.  Empty rounds are complete by definition
-        and yield first.
+        On the population-batched engine each round is one pool task —
+        one stacked pass beats item-granular futures (the big matmuls
+        release the GIL, and rounds still fan out across edges).
+        Otherwise, and whenever per-item timing attribution is on, every
+        device is its own single-item task and a round is yielded the
+        moment its last item lands.
         """
-        self.context  # fail fast before touching the pool
-        pool = self._ensure_pool()
-        submit = pool.submit
-        if (
-            (not self._collect_timings or self._timing_granularity == "round")
+        context = self.context  # fail fast before touching the pool
+        submit = self._ensure_pool().submit
+        granularity = self._timing_mode()
+        per_round = (
+            granularity != "item"
             and hotpath_enabled()
             and population_batching_enabled()
-            and supports_population_batch(self.context.model)
-        ):
-            round_futures = {
-                submit(self._run_round, plan): index
-                for index, plan in enumerate(plans)
-            }
-            for future in as_completed(round_futures):
-                yield round_futures[future], future.result()
-            return
-        results: List[RoundResults] = [{} for _ in plans]
-        remaining = [len(plan.items) for plan in plans]
-        for index, count in enumerate(remaining):
-            if count == 0:
-                yield index, results[index]
-        owner: Dict[Future, Tuple[int, int]] = {}
-        run_item = self._run_item
+            and supports_population_batch(context.model)
+        )
+        futures = {}
         for index, plan in enumerate(plans):
-            start_model = plan.start_model
-            for item in plan.items:
-                owner[submit(run_item, start_model, item)] = (
-                    index,
-                    item.device_id,
-                )
-        for future in as_completed(owner):
-            index, device_id = owner[future]
-            results[index][device_id] = future.result()
-            remaining[index] -= 1
-            if remaining[index] == 0:
-                yield index, results[index]
+            units = (
+                [plan] if per_round and plan.items
+                else [replace(plan, items=(item,)) for item in plan.items]
+            )
+            for unit in units:
+                futures[submit(self._run_unit, unit, granularity)] = index
+        yield from self._stream(plans, futures)
 
     def close(self) -> None:
         if self._pool is not None:

@@ -17,8 +17,9 @@ order — reproduces the serial run bit for bit.
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +63,28 @@ class EdgeRoundPlan:
 
 #: Round results keyed by device id, aligned with one :class:`EdgeRoundPlan`.
 RoundResults = Dict[int, LocalUpdateResult]
+
+
+class WorkerTiming(NamedTuple):
+    """Wall-clock attribution of one executed unit of local-update work.
+
+    Collected only when the caller opts in via
+    :meth:`~repro.runtime.base.Executor.enable_worker_timings`;
+    ``worker`` names the thread / process (or ``"main"`` for the serial
+    backend) that ran the unit, and ``seconds`` is the unit's own
+    monotonic-clock duration measured where it ran.  At ``"item"``
+    granularity a record covers one device's local-update loop; at
+    ``"round"`` granularity it covers one edge round (or one worker's
+    chunk of it) and ``device`` is ``-1``.  Timings are observability,
+    not results: they never cross into aggregation, RNG streams or
+    checkpoints.
+    """
+
+    step: int
+    edge: int
+    device: int
+    worker: str
+    seconds: float
 
 
 class WorkerContext:
@@ -239,3 +262,40 @@ class WorkerContext:
         """Execute a whole round (items in plan order), population-batched
         on the optimized engine."""
         return dict(self.run_items(plan.start_model, plan.items))
+
+    def run_timed(
+        self,
+        plan: EdgeRoundPlan,
+        granularity: Optional[str] = None,
+        worker: str = "main",
+    ) -> Tuple[RoundResults, List[WorkerTiming]]:
+        """Execute ``plan`` (a round, or one worker's share of it) and
+        time it on this worker's clock.
+
+        ``granularity`` is ``None`` (untimed), ``"round"`` (one
+        ``device=-1`` record around the unchanged, population-batched
+        :meth:`run_round`) or ``"item"`` (one record per device, which
+        runs the items one by one).  Results are bit-identical at every
+        granularity.
+        """
+        if granularity is None:
+            return self.run_round(plan), []
+        clock = time.perf_counter
+        if granularity == "round":
+            start = clock()
+            results = self.run_round(plan)
+            return results, [
+                WorkerTiming(plan.step, plan.edge, -1, worker, clock() - start)
+            ]
+        results: RoundResults = {}
+        timings: List[WorkerTiming] = []
+        for item in plan.items:
+            start = clock()
+            results[item.device_id] = self.run_item(plan.start_model, item)
+            timings.append(
+                WorkerTiming(
+                    plan.step, plan.edge, item.device_id, worker,
+                    clock() - start,
+                )
+            )
+        return results, timings

@@ -4,12 +4,12 @@ The :class:`Coordinator` owns a scenario registry — :meth:`submit`
 queues a :class:`~repro.experiments.config.ScenarioConfig` and returns a
 ``run_id`` — and a single dispatcher thread that executes runs one at a
 time by driving :meth:`HFLTrainer.steps`, the resumable step generator.
-Runs execute on the trainer's *incremental round pipeline*
-(``trainer.incremental = True``): edge rounds are admitted as their
-local-update results complete via :meth:`Executor.submit_step`, with
-finishing held in plan order so a drained queue is bit-identical to the
-synchronous barrier trainer (the contract `tests/service` asserts on
-all three executor backends).
+Runs execute on the trainer's one streamed step path: edge rounds are
+admitted as their local-update results complete via
+:meth:`Executor.submit_step`, with finishing held in plan order, so a
+served run on any executor backend is bit-identical to the serial
+in-order stream (the contract `tests/service` asserts on all three
+backends).
 
 Lifecycle: :meth:`pause` / :meth:`resume_run` gate the loop between
 steps, :meth:`stop` closes the generator at the next step boundary, and
@@ -475,7 +475,6 @@ class Coordinator:
             test_dataset=test,
             obs=obs,
         )
-        trainer.incremental = True
         log_handle = None
         if run_dir is not None:
             mode = "a" if record.resume_from is not None else "w"

@@ -161,6 +161,85 @@ class TestBackendEquivalence:
         )
 
 
+class TestSubmitStepContract:
+    """``submit_step`` is every backend's one execute path: it yields each
+    plan exactly once (any order), and ``run_step`` is its drain."""
+
+    def plans_with_empty_round(self, model, step=0):
+        plans = make_plans(model, step=step)
+        empty = EdgeRoundPlan(step, 9, model.flat_copy(), ())
+        return [plans[0], empty, plans[1]]
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_every_plan_yielded_exactly_once(self, kind):
+        context, model = make_context()
+        plans = self.plans_with_empty_round(model)
+        with make_executor(kind, num_workers=2) as executor:
+            executor.bind(context)
+            streamed = list(executor.submit_step(plans))
+            assert list(executor.submit_step([])) == []
+        assert sorted(index for index, _ in streamed) == [0, 1, 2]
+        for index, results in streamed:
+            assert set(results) == {
+                item.device_id for item in plans[index].items
+            }
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_drained_stream_matches_run_step(self, kind):
+        context, model = make_context()
+        plans = self.plans_with_empty_round(model)
+        with make_executor(kind, num_workers=2) as executor:
+            executor.bind(context)
+            barrier = executor.run_step(plans)
+            streamed = dict(executor.submit_step(plans))
+        assert len(barrier) == len(streamed) == len(plans)
+        for index, expected in enumerate(barrier):
+            got = streamed[index]
+            assert expected.keys() == got.keys()
+            for device_id in expected:
+                np.testing.assert_array_equal(
+                    expected[device_id].final_model, got[device_id].final_model
+                )
+                assert (
+                    expected[device_id].grad_sq_norms
+                    == got[device_id].grad_sq_norms
+                )
+
+    def test_serial_yields_each_round_before_computing_the_next(self):
+        context, model = make_context()
+        calls = []
+        run_round = context.run_round
+
+        def counting_run_round(plan):
+            calls.append(plan.edge)
+            return run_round(plan)
+
+        context.run_round = counting_run_round
+        executor = SerialExecutor()
+        executor.bind(context)
+        stream = executor.submit_step(make_plans(model))
+        assert next(stream)[0] == 0
+        assert calls == [0]
+        assert next(stream)[0] == 1
+        assert calls == [0, 1]
+
+    def test_process_failure_raises_from_the_generator(self):
+        context, model = make_context()
+        bad = TestWorkerFailure().bad_plan(model)
+        with ProcessExecutor(num_workers=2) as executor:
+            executor.bind(context)
+            stream = executor.submit_step([make_plans(model)[0], bad])
+            with pytest.raises(WorkerError, match="step 7, edge 1") as excinfo:
+                for _ in stream:
+                    pass
+            assert (excinfo.value.step, excinfo.value.edge) == (7, 1)
+            # The pool was recycled: the next step streams clean.
+            plans = make_plans(model, step=1)
+            streamed = dict(executor.submit_step(plans))
+        assert sorted(streamed) == [0, 1]
+        assert all(streamed.values())
+
+
 class TestWorkerFailure:
     """A crashing pooled worker surfaces (step, edge) context and the
     pool recycles instead of hanging on dead processes."""
